@@ -12,7 +12,7 @@ backend long enough to trip the circuit breaker.  The drill shows
 * **supervision** — the crashed worker is respawned and the crash is
   recorded in the audit trail;
 * **degradation** — the breaker opens after consecutive backend
-  failures, batches fall back from ``"turbo"`` to ``"batched"`` (bit
+  failures, batches fall back from ``"turbo"`` to ``"fast"`` (bit
   for bit identical, just slower), and a cooldown probe restores the
   primary once the brown-out clears.
 

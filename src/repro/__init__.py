@@ -11,7 +11,7 @@ Public API highlights:
 * :mod:`repro.compiler` — graph-to-pipeline compiler with plan caching;
   :func:`repro.compile` is the one-call entry point.
 * :mod:`repro.serving` — plan-once/run-many sessions over compiled models
-  (``compiled.serve()``), dispatching to the ``"batched"`` backend.
+  (``compiled.serve()``), dispatching to the ``"turbo"`` backend.
 * :mod:`repro.baselines` — TinyEngine / HMCOS / Serenity memory managers.
 * :mod:`repro.eval` — drivers that regenerate every figure and table.
 """

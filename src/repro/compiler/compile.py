@@ -224,7 +224,7 @@ class CompiledModel:
         return result
 
     # ------------------------------------------------------------------ #
-    def serve(self, *, execution: str = "batched", max_batch: int = 256):
+    def serve(self, *, execution: str = "turbo", max_batch: int = 256):
         """Open a plan-once/run-many :class:`~repro.serving.Session`.
 
         The session freezes everything request-independent — the solved

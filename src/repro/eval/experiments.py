@@ -386,11 +386,13 @@ def serving_throughput(
 ) -> Experiment:
     """Extension: plan-once/run-many serving vs per-call fast execution.
 
-    Opens one :class:`~repro.serving.Session` per compiled VWW model
-    (plans, int32-packed weights and the per-stage cost template are
-    warmed once) and compares requests/sec of ``Session.run_batch``
-    against a per-request ``execution="fast"`` loop, asserting the
-    serving guarantee: batching changes wall clock, never bits.
+    Opens one ``execution="fast"`` :class:`~repro.serving.Session` per
+    compiled VWW model (plans, int32-packed weights and the per-stage
+    cost template are warmed once; the stacked int32 GEMMs isolate the
+    batching gain from turbo's BLAS arithmetic) and compares
+    requests/sec of ``Session.run_batch`` against a per-request
+    ``execution="fast"`` loop, asserting the serving guarantee:
+    batching changes wall clock, never bits.
     (``benchmarks/bench_serving.py`` regenerates ``results/serving.txt``
     from the same measurement.)
     """
@@ -408,7 +410,7 @@ def serving_throughput(
     rows = []
     for model in models:
         cm = compile_model(model, device=device, execution="fast")
-        session = cm.serve()
+        session = cm.serve(execution="fast")
         shape = cm.graph.tensors[cm.graph.inputs[0]].spec.shape
         for batch in batch_sizes:
             xs = [
@@ -441,7 +443,7 @@ def serving_throughput(
                 )
             )
     notes = [
-        "one Session per model: plans, packed weights and the batched "
+        "one Session per model: plans, packed weights and the per-plan "
         "cost template are warmed once, then amortized over every batch",
         "tracked trajectory: the batched series in BENCH_perf.json "
         "(benchmarks/bench_perf.py)",
@@ -503,12 +505,15 @@ def dispatch_serving(
         )
     gaps = rng.exponential(1.0 / arrival_rps, size=n_requests)
 
-    # closed-loop single-worker baseline: one batched Session per tenant,
-    # sequential run_batch chunks of max_batch over the same request mix
+    # closed-loop single-worker baseline: one stacked-int32 ("fast")
+    # Session per tenant, sequential run_batch chunks of max_batch over
+    # the same request mix
     per_tenant_inputs: dict[str, list] = {t: [] for t in tenants}
     for tenant, x in requests:
         per_tenant_inputs[tenant].append(x)
-    baseline_sessions = {t: Session(compiled[t]) for t in tenants}
+    baseline_sessions = {
+        t: Session(compiled[t], execution="fast") for t in tenants
+    }
     for t, xs in per_tenant_inputs.items():
         if xs:
             baseline_sessions[t].run_batch(xs[:max_batch])  # warm
@@ -851,7 +856,7 @@ def chaos_serving(
        plane's audit trail;
     2. **degrade** — a finite budget of ``"backend.turbo"`` faults
        trips the per-tenant circuit breaker (threshold 2): batches
-       degrade to the ``"batched"`` backend, cooldown probes re-try
+       degrade to the ``"fast"`` backend, cooldown probes re-try
        turbo until the fault budget exhausts, and the breaker closes
        again — ``degrade`` then ``restore`` in the audit trail, zero
        failed requests.

@@ -78,7 +78,6 @@ class ReplayConfig:
     max_queue_depth: int = 8192
     #: telemetry bucket width in **virtual** seconds
     window_s: float = 3600.0
-    execution: str = "turbo"
     #: per-ticket result wait bound (real seconds)
     result_timeout_s: float = 120.0
     #: keep per-request output tensors.  ``False`` is the
@@ -354,7 +353,6 @@ def replay(
         dict(compiled),
         workers=config.workers,
         worker_mode=config.worker_mode,
-        execution=config.execution,
         config=fleet if fleet is not None else fleet_config(trace, config),
         plan_cache=plan_cache,
         faults=faults,
@@ -377,9 +375,7 @@ def replay(
             # straight through the sessions: warms packs, templates and
             # BLAS without touching the dispatcher's counters
             for name in names:
-                dispatcher.sessions[name].run_batch(
-                    [pools[name][0]], execution=config.execution
-                )
+                dispatcher.sessions[name].run_batch([pools[name][0]])
         base = time.monotonic()
         for i in range(n):
             target = base + arrivals[i] / config.dilation

@@ -29,13 +29,11 @@ from repro.kernels.depthwise import DepthwiseConvKernel
 from repro.kernels.conv2d import Conv2dKernel
 from repro.kernels.bottleneck import FusedBottleneckKernel
 from repro.kernels.fastpath import FastBackend  # registers "fast"
-from repro.kernels.batched import BatchedBackend  # registers "batched"
 from repro.kernels.turbo import TurboBackend  # registers "turbo"
 
 __all__ = [
     "ExecutionBackend",
     "FastBackend",
-    "BatchedBackend",
     "TurboBackend",
     "KernelCostModel",
     "KernelRun",

@@ -80,11 +80,12 @@ class ExecutionBackend:
     The shipped backends are ``"simulate"`` (the per-segment pool replay
     that audits every RAMLoad/RAMStore/RAMFree against the plan),
     ``"fast"`` (vectorized im2col + int32-GEMM NumPy execution with the pool
-    traffic and profiler costs derived analytically from the plan) and
-    ``"batched"`` (the serving path: stacked GEMMs across a request batch
-    with per-plan cost-template replay).  All produce bit-identical outputs
-    and cost reports; the latter two trade the per-segment race auditing
-    for orders-of-magnitude lower wall clock.
+    traffic and profiler costs derived analytically from the plan, and
+    stacked GEMMs across a request batch with per-plan cost-template
+    replay) and ``"turbo"`` (``"fast"`` with exact float64 BLAS GEMMs).
+    All produce bit-identical outputs and cost reports; the latter two
+    trade the per-segment race auditing for orders-of-magnitude lower
+    wall clock.
 
     A backend implements one method per kernel family, each returning a
     :class:`KernelRun`, plus :meth:`run_pipeline` for whole-chain execution
@@ -122,7 +123,7 @@ class ExecutionBackend:
 
         The default dispatches per request; backends that can amortize
         across the batch (one stacked GEMM per stage, shared cost
-        template) override this — see ``repro.kernels.batched``.
+        template) override this — see ``repro.kernels.fastpath``.
         """
         return [
             self.run_pipeline(pipeline, plan, x, strict=strict) for x in xs
@@ -289,23 +290,21 @@ def _serving_locks() -> list:
     The process-mode dispatcher forks worker pools, so fork must happen
     at a quiescent point for these locks: the before-handler acquires
     them all (waiting out any in-flight serving work), and both
-    after-handlers release them again.  All are plain ``Lock``\\ s, so
+    after-handlers release them again.  Both are plain ``Lock``\\ s, so
     the child's release needs no owner check.
+
+    Template lock first, then the pack lock — the same order the serving
+    path nests them (``pipeline_template`` -> ``cached_pack``), so the
+    handler can never deadlock against a worker.
     """
-    locks = [_PACK_LOCK]
-    for backend in _EXECUTION_BACKENDS.values():
-        lock = getattr(backend, "_template_lock", None)
-        if lock is not None:
-            locks.append(lock)
-    return locks
+    from repro.kernels.fastpath import _TEMPLATE_LOCK
+
+    return [_TEMPLATE_LOCK, _PACK_LOCK]
 
 
 def _before_fork() -> None:
-    # template locks first, then the pack lock — the same order the
-    # serving path nests them (pipeline_template -> cached_pack), so the
-    # handler can never deadlock against a worker
     held = _serving_locks()
-    for lock in reversed(held):
+    for lock in held:
         lock.acquire()
     _FORK_HELD.append(held)
 

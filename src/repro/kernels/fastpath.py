@@ -20,11 +20,23 @@ same way TinyEngine splits analysis from generated kernels:
   in a double), so bulk charging reproduces the simulator's
   :class:`~repro.mcu.profiler.CostReport` bit for bit as well.
 
+Because those costs follow from the plan alone, they are derived once per
+plan: :func:`pipeline_template` runs the chain once on a zero input and
+keeps the per-stage reports as a :class:`CostTemplate` that every request
+served against the plan reuses.  :meth:`FastBackend.run_pipeline_batch`
+then stacks a whole request batch into one ``[B * pixels, C]`` GEMM per
+stage, through the same batch-axis helpers a single kernel call runs with
+a batch of one, and attaches the template to each request.
+
 What the fast path does *not* do is race-check: it trusts the plan.  Use
 ``execution="simulate"`` when auditing a new planner or segment policy.
 """
 
 from __future__ import annotations
+
+import threading
+import weakref
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,10 +51,25 @@ from repro.kernels.base import (
     pack_i32,
     register_execution_backend,
 )
-from repro.mcu.profiler import Profiler
+from repro.mcu.profiler import CostReport, Profiler
 from repro.quant import requantize
 
-__all__ = ["FastBackend"]
+__all__ = ["CostTemplate", "FastBackend", "pipeline_template"]
+
+#: lazily bound :func:`repro.serving.faults.perhaps` — the kernels layer
+#: sits below serving, so the fault hook is resolved on first use instead
+#: of imported at module load (which would cycle through serving's init).
+_perhaps = None
+
+
+def _fault_hook(site: str) -> None:
+    """Fire ``site`` against the thread's scoped fault injector, if any."""
+    global _perhaps
+    if _perhaps is None:
+        from repro.serving.faults import perhaps
+
+        _perhaps = perhaps
+    _perhaps(site)
 
 
 # --------------------------------------------------------------------------- #
@@ -206,8 +233,8 @@ class FastBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     # Every pipeline-stage family's whole-tensor arithmetic lives here
     # once, over a leading batch axis.  The per-kernel fast methods below
-    # call them with a batch of one; the batched serving backend stacks
-    # whole request batches through the same code.  int32 accumulation
+    # call them with a batch of one; run_pipeline_batch stacks whole
+    # request batches through the same code.  int32 accumulation
     # wraps modulo 2**32 independently of summation order and each output
     # row depends only on its own input row, so batch size never changes
     # the bits.
@@ -806,6 +833,145 @@ class FastBackend(ExecutionBackend):
         result.output = act
         return result
 
+    def _execute_batched(self, pipeline, plan, xb) -> list[np.ndarray]:
+        """One stacked pass; returns each stage's ``[B, *single_shape]``."""
+        from repro.runtime.pipeline import (
+            BottleneckStage,
+            DenseStage,
+            GlobalAvgPoolStage,
+            PointwiseStage,
+        )
+
+        acts: list[np.ndarray] = []
+        act = xb
+        for sp, stage in zip(plan.stages, pipeline.stages):
+            if isinstance(stage, PointwiseStage):
+                act = self._pointwise_batch(
+                    sp.kernel, act, stage.weights, stage.mult
+                )
+            elif isinstance(stage, BottleneckStage):
+                act = self._bottleneck_batch(
+                    sp.kernel, act, stage.w_expand, stage.w_dw,
+                    stage.w_project, tuple(stage.mults),
+                )
+            elif isinstance(stage, GlobalAvgPoolStage):
+                act = self._avgpool_batch(sp.kernel, act, stage.mult)
+            elif isinstance(stage, DenseStage):
+                act = self._dense_batch(
+                    sp.kernel, act, stage.weights, stage.mult
+                )
+            else:
+                raise KernelError(
+                    f"unknown stage type {type(stage).__name__}"
+                )
+            acts.append(act)
+        return acts
+
+    def run_pipeline_batch(self, pipeline, plan, xs, *, strict=True):
+        """Run ``xs`` through the chain as one stacked pass per stage.
+
+        Returns one :class:`~repro.runtime.pipeline.PipelineResult` per
+        request: per-stage outputs are views into the stacked activations,
+        per-stage reports are the plan's shared :class:`CostTemplate`
+        (bit-identical to a per-request simulate run), and each request
+        carries its own copy of the template's cumulative pool statistics.
+        """
+        from repro.runtime.pipeline import PipelineResult
+
+        _fault_hook(f"backend.{self.name}")
+        if len(xs) == 0:
+            raise KernelError("run_pipeline_batch needs a non-empty batch")
+        first = np.asarray(xs[0])
+        for i, x in enumerate(xs):
+            x = np.asarray(x)
+            if x.dtype != np.int8:
+                raise ShapeError(f"request {i}: inputs must be int8")
+            if x.shape != first.shape:
+                raise ShapeError(
+                    f"request {i}: shape {x.shape} != {first.shape}; "
+                    "a batch must be uniformly shaped"
+                )
+        template = pipeline_template(pipeline, plan)
+        acts = self._execute_batched(pipeline, plan, np.stack(xs))
+
+        results = []
+        for i in range(len(xs)):
+            stats = replace(template.pool_stats)
+            result = PipelineResult(output=acts[-1][i], plan=plan)
+            result.stage_runs = [
+                KernelRun(
+                    output=acts[j][i],
+                    plan=sp.plan,
+                    pool_stats=stats,
+                    report=template.stage_reports[j],
+                )
+                for j, sp in enumerate(plan.stages)
+            ]
+            results.append(result)
+        return results
+
+
+# --------------------------------------------------------------------------- #
+# per-plan cost template
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class CostTemplate:
+    """Per-stage cost reports and final pool statistics of one request.
+
+    Both are input-independent for a fixed plan: the fast backend derives
+    them from plan geometry alone, so one derivation serves every request.
+    ``stage_reports`` are the per-stage deltas a shared-profiler pipeline
+    run records; ``pool_stats`` is the cumulative counter state after one
+    whole-chain execution (the object every stage's ``KernelRun`` shares).
+    """
+
+    stage_reports: tuple[CostReport, ...]
+    pool_stats: PoolStats
+
+
+#: (id(plan), device name) -> (weakref to plan, template); the weakref
+#: both guards against id() reuse and evicts dead plans.
+_TEMPLATES: dict[tuple[int, str], tuple[weakref.ref, CostTemplate]] = {}
+#: sharded dispatcher workers all serve through this one cache, so
+#: lookup/derive/insert must be atomic; held across the dry run so each
+#: plan's template is derived exactly once.  A plain Lock (the derivation
+#: never re-enters it) so the at-fork handlers in kernels.base can release
+#: the child's copy without an owner check.
+_TEMPLATE_LOCK = threading.Lock()
+
+
+def pipeline_template(pipeline, plan) -> CostTemplate:
+    """Build (or fetch) the plan's cost template.
+
+    One dry fast-path run on a zero input performs exactly the analytic
+    event generation the template must capture; its numeric half is the
+    one-time price of not duplicating the event code.
+    """
+    key = (id(plan), pipeline.device.name)
+    with _TEMPLATE_LOCK:
+        hit = _TEMPLATES.get(key)
+        if hit is not None and hit[0]() is plan:
+            return hit[1]
+        x0 = np.zeros(
+            (pipeline.input_hw, pipeline.input_hw, pipeline.input_c),
+            dtype=np.int8,
+        )
+        dry = _FAST.run_pipeline(pipeline, plan, x0)
+        template = CostTemplate(
+            stage_reports=tuple(r.report for r in dry.stage_runs),
+            pool_stats=replace(dry.stage_runs[-1].pool_stats),
+        )
+
+        def _evict(_ref, key=key):
+            _TEMPLATES.pop(key, None)
+
+        try:
+            ref = weakref.ref(plan, _evict)
+        except TypeError:
+            return template
+        _TEMPLATES[key] = (ref, template)
+        return template
+
 
 def _recompute_events(
     p_out: int, hb: int, k: int, pad: int, s2: int, s3: int
@@ -844,4 +1010,4 @@ def _recompute_events(
     return np.asarray(pbs, dtype=np.int64), np.asarray(qbs, dtype=np.int64)
 
 
-register_execution_backend(FastBackend())
+_FAST = register_execution_backend(FastBackend())

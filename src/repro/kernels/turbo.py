@@ -1,11 +1,11 @@
 """Turbo execution backend (``execution="turbo"``): BLAS-rate serving math.
 
-The ``"batched"`` backend already amortizes planning, weight packing and
-cost derivation; what remains per request is the arithmetic itself, and
-NumPy executes integer matmuls with its generic C inner loop — BLAS never
-sees them.  This backend swaps the two arithmetic leaves of
-:class:`~repro.kernels.fastpath.FastBackend` for implementations that
-reach BLAS while remaining *provably bit-exact*:
+The ``"fast"`` backend already amortizes planning, weight packing and
+cost derivation across a stacked request batch; what remains per request
+is the arithmetic itself, and NumPy executes integer matmuls with its
+generic C inner loop — BLAS never sees them.  This backend swaps the two
+arithmetic leaves of :class:`~repro.kernels.fastpath.FastBackend` for
+implementations that reach BLAS while remaining *provably bit-exact*:
 
 * **GEMM** — int8 operands are exactly representable in float64, and a
   dot product over ``K`` terms is bounded by ``K * 128 * 128 = K * 2**14``
@@ -23,13 +23,14 @@ reach BLAS while remaining *provably bit-exact*:
   the few percent of elements near a rounding boundary (see its
   docstring for the error-bound argument).
 
-Costs are untouched: the backend inherits the batched backend's
-per-plan :class:`~repro.kernels.batched.CostTemplate`, so per-request
+Costs are untouched: the backend inherits the fast backend's
+per-plan :class:`~repro.kernels.fastpath.CostTemplate`, so per-request
 ``CostReport``s stay bit-identical to ``execution="simulate"`` — the
 modeled on-device cost is a property of the plan, not of how fast the
-host happens to evaluate the arithmetic.  The serving dispatcher's
-workers default to this backend; ``tests/kernels/test_turbo_backend.py``
-property-tests output and report parity against ``"fast"``.
+host happens to evaluate the arithmetic.  Sessions, the dispatcher and
+``Pipeline.run_batch`` default to this backend;
+``tests/kernels/test_turbo_backend.py`` property-tests output and report
+parity against ``"fast"``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from repro.kernels.base import (
     pack_i32,
     register_execution_backend,
 )
-from repro.kernels.batched import BatchedBackend, _fault_hook
+from repro.kernels.fastpath import FastBackend, _fault_hook
 from repro.quant import requantize_fast
 
 __all__ = ["TurboBackend", "I32_SAFE_K", "gemm_is_exact"]
@@ -58,8 +59,8 @@ def gemm_is_exact(k: int) -> bool:
     return 0 < k < I32_SAFE_K
 
 
-class TurboBackend(BatchedBackend):
-    """Batched serving backend with exact float64 BLAS arithmetic."""
+class TurboBackend(FastBackend):
+    """The fast backend with exact float64 BLAS arithmetic."""
 
     name = "turbo"
     #: sessions warm both layouts: float64 for the BLAS GEMMs, int32 for

@@ -107,7 +107,8 @@ def stage_weight_arrays(stage: Stage) -> tuple[np.ndarray, ...]:
     The one place that knows which descriptor fields hold weights —
     used by the serving layer to warm the pack cache ahead of the first
     request; a new weighted stage type must be added here (and to the
-    batched executor) or session warm-up silently stops covering it.
+    fast backend's stacked executor) or session warm-up silently stops
+    covering it.
     """
     if isinstance(stage, (PointwiseStage, DenseStage)):
         return (stage.weights,)
@@ -387,9 +388,9 @@ class Pipeline:
         segment operation in one shared circular pool (race-checked);
         ``"fast"`` executes each stage as vectorized NumPy with the pool
         events derived analytically — identical outputs and cost reports,
-        orders of magnitude faster; ``"batched"`` additionally amortizes
-        event generation into a per-plan cost template (see
-        :meth:`run_batch` for many-input dispatch).
+        orders of magnitude faster; ``"turbo"`` runs the fast path's GEMMs
+        at BLAS rate, still bit-exact (see :meth:`run_batch` for
+        many-input dispatch).
         """
         backend = get_execution_backend(execution)
         plan = self._resolve_plan(plan)
@@ -397,16 +398,16 @@ class Pipeline:
 
     def run_batch(
         self, xs, *, plan: PipelinePlan | None = None,
-        strict: bool = True, execution: str = "batched",
+        strict: bool = True, execution: str = "turbo",
     ) -> list[PipelineResult]:
         """Execute many inputs against one plan; one result per input.
 
         The plan is solved (or validated) once for the whole batch — the
-        run-many half of plan-once/run-many.  With the default
-        ``execution="batched"`` backend each stage executes as one stacked
-        GEMM across the batch and per-request cost reports are replayed
-        from a per-plan template (bit-identical to ``"simulate"``); any
-        other registered backend falls back to per-request dispatch.
+        run-many half of plan-once/run-many.  Under the default
+        ``"turbo"`` backend (and ``"fast"``) each stage executes as one
+        stacked GEMM across the batch and per-request cost reports are
+        replayed from a per-plan template (bit-identical to
+        ``"simulate"``); ``"simulate"`` dispatches per request.
         """
         backend = get_execution_backend(execution)
         plan = self._resolve_plan(plan)

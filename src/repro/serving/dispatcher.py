@@ -441,9 +441,6 @@ class Dispatcher:
         release the GIL) or ``"process"`` (fork a pool; per-request
         dispatch inside each formed batch; the pool keeps its initial
         size).
-    execution:
-        Backend for every tenant session; the ``"turbo"`` default keeps
-        bit-exactness while running the stacked GEMMs at BLAS rate.
     max_batch, max_queue_depth, default_deadline_s, batch_timeout_s:
         Shorthand for the matching :class:`FleetConfig` fields when no
         ``config`` is given.
@@ -469,7 +466,6 @@ class Dispatcher:
         *,
         workers: int = 4,
         worker_mode: str = "thread",
-        execution: str = "turbo",
         max_batch: int = 8,
         max_queue_depth: int = 256,
         default_deadline_s: float = 0.5,
@@ -505,9 +501,12 @@ class Dispatcher:
             models = {"default": models}
         if not models:
             raise ServingError("dispatcher needs at least one tenant model")
-        self.workers = workers
+        #: the initial shard count, clamped into the config's range; the
+        #: fork pool is sized from it once and keeps that size
+        self.workers = min(
+            max(workers, config.min_workers), config.max_workers
+        )
         self.worker_mode = worker_mode
-        self.execution = execution
         self.plan_cache = (
             plan_cache if plan_cache is not None else DEFAULT_PLAN_CACHE
         )
@@ -523,9 +522,7 @@ class Dispatcher:
             SESSION_BATCH_CAP, max_batch, config.max_batch
         )
         self.sessions: dict[str, Session] = {
-            tenant: Session(
-                cm, execution=execution, max_batch=self._session_max_batch
-            )
+            tenant: Session(cm, max_batch=self._session_max_batch)
             for tenant, cm in models.items()
         }
         #: the control plane: validated atomic config swaps + audit trail
@@ -582,8 +579,8 @@ class Dispatcher:
         #: self) to keep the dispatcher free of uncollectable cycles
         control = self.control
         self._breakers: dict[str, CircuitBreaker] = {
-            t: CircuitBreaker(execution, lambda: control.config)
-            for t in self.sessions
+            t: CircuitBreaker(s.execution, lambda: control.config)
+            for t, s in self.sessions.items()
         }
 
         # one-slot pool holder: a rebuild swaps the slot in place, so
@@ -612,9 +609,7 @@ class Dispatcher:
         self._retire_ids: set[int] = set()
         self._clean_exits: set[int] = set()
         self._next_worker_id = 0
-        self._target_workers = min(
-            max(workers, config.min_workers), config.max_workers
-        )
+        self._target_workers = self.workers
         with self._scale_lock:
             self._spawn_workers(self._target_workers)
         self._supervisor = threading.Thread(

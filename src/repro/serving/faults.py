@@ -10,7 +10,7 @@ folklore.  This module is the expression half:
   points** (:data:`SITES`) wired through the stack —
   ``"dispatch.request"`` per admitted request, ``"session.run_batch"``
   in :meth:`~repro.serving.session.Session.run_batch`,
-  ``"backend.batched"`` / ``"backend.turbo"`` /
+  ``"backend.fast"`` / ``"backend.turbo"`` /
   ``"backend.turbo.gemm"`` inside the execution backends,
   ``"worker.loop"`` in the dispatcher's worker threads and
   ``"process.child"`` inside forked pool children;
@@ -62,7 +62,7 @@ __all__ = [
 SITES = (
     "dispatch.request",    # Dispatcher: once per ticket per attempt
     "session.run_batch",   # Session.run_batch entry (any caller)
-    "backend.batched",     # BatchedBackend.run_pipeline_batch
+    "backend.fast",        # FastBackend.run_pipeline_batch
     "backend.turbo",       # TurboBackend.run_pipeline_batch (inherited)
     "backend.turbo.gemm",  # TurboBackend._gemm (the BLAS leaf)
     "worker.loop",         # dispatcher worker thread, before claiming work

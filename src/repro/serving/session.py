@@ -6,19 +6,21 @@ depend on the request:
 * **plans** — already solved (and cached in the
   :class:`~repro.compiler.cache.PlanCache`) at compile time; the session
   never re-plans;
-* **packed weights** — every stage weight is promoted to its int32 GEMM
-  operand once through :func:`~repro.kernels.base.cached_pack` at session
+* **packed weights** — every stage weight is promoted to its GEMM
+  operand(s) once through :func:`~repro.kernels.base.cached_pack` at session
   construction (mutating a weight array in place between requests triggers
   a re-pack via the cache's content digest; dropping the model evicts the
   entries via weakrefs);
 * **cost template** — the per-stage analytic
   :class:`~repro.mcu.profiler.CostReport` sequence is derived once per
-  segment plan and replayed for every request, so per-request cost
+  segment plan (:func:`~repro.kernels.fastpath.pipeline_template`) and
+  replayed for every request, whatever the backend, so per-request cost
   accounting is a pointer copy yet stays bit-identical to
   ``execution="simulate"``.
 
-What remains per request is exactly the arithmetic: one stacked int32 GEMM
-per stage across the batch.  :meth:`Session.run` serves one request,
+What remains per request is exactly the arithmetic: one stacked GEMM per
+stage across the batch (float64 BLAS under the default ``"turbo"``
+backend, int32 under ``"fast"``).  :meth:`Session.run` serves one request,
 :meth:`Session.run_batch` a whole batch; both return
 :class:`RequestResult`s carrying the output tensor(s) and a
 :class:`RequestStats` (host latency, queue depth, modeled stage costs).
@@ -34,7 +36,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.errors import CompileError, ServingError
-from repro.kernels.base import cached_pack, get_execution_backend
+from repro.kernels.base import cached_pack, get_execution_backend, pack_i32
+from repro.kernels.fastpath import pipeline_template
 from repro.mcu.profiler import CostReport
 from repro.serving import faults as _faults
 
@@ -133,9 +136,9 @@ class Session:
         The planned model to serve.
     execution:
         Name of the registered execution backend used for dispatch.  The
-        default ``"batched"`` backend executes each stage as one stacked
-        GEMM across the batch; ``"turbo"`` additionally runs the GEMMs
-        at BLAS rate (still bit-exact); any registered backend works
+        default ``"turbo"`` backend executes each stage as one stacked
+        GEMM across the batch at BLAS rate (still bit-exact); ``"fast"``
+        stacks the same GEMMs in int32; any registered backend works
         (falling back to per-request dispatch), which keeps the serving
         layer decoupled from any single backend implementation.
     max_batch:
@@ -161,7 +164,7 @@ class Session:
         self,
         compiled,
         *,
-        execution: str = "batched",
+        execution: str = "turbo",
         max_batch: int = 256,
         faults: "_faults.FaultPlan | _faults.FaultInjector | None" = None,
     ):
@@ -188,24 +191,17 @@ class Session:
         stage_names: list[str] = []
         stage_reports: list[CostReport] = []
         for seg in compiled.segments:
-            if hasattr(self._backend, "pipeline_template"):
-                # warms the backend's per-plan template cache; the plan
-                # stays alive through compiled.segments, so replay at
-                # dispatch time is a cache hit for the session's lifetime
-                template = self._backend.pipeline_template(
-                    seg.pipeline, seg.plan
-                )
-                stage_names.extend(sp.name for sp in seg.plan.stages)
-                stage_reports.extend(template.stage_reports)
+            # warms the per-plan template cache; the plan stays alive
+            # through compiled.segments, so replay at dispatch time is a
+            # cache hit for the session's lifetime
+            template = pipeline_template(seg.pipeline, seg.plan)
+            stage_names.extend(sp.name for sp in seg.plan.stages)
+            stage_reports.extend(template.stage_reports)
             self._pack_weights(seg.pipeline)
-        if stage_reports:
-            #: shared across requests: the modeled cost of serving one
-            #: request is plan-determined, not data-determined
-            self._stage_reports = dict(zip(stage_names, stage_reports))
-            self._report = CostReport.combine(stage_reports, names=stage_names)
-        else:
-            self._stage_reports = None
-            self._report = None
+        #: shared across requests: the modeled cost of serving one
+        #: request is plan-determined, not data-determined
+        self._stage_reports = dict(zip(stage_names, stage_reports))
+        self._report = CostReport.combine(stage_reports, names=stage_names)
         #: what this session froze; checked before every dispatch
         self._structure = _model_structure(compiled)
 
@@ -220,7 +216,6 @@ class Session:
         addition to the int32 ones — so the first request pays no
         packing cost.
         """
-        from repro.kernels.base import pack_i32
         from repro.runtime.pipeline import stage_weight_arrays
 
         packers = getattr(self._backend, "weight_packers", None) or (
@@ -263,10 +258,10 @@ class Session:
 
         ``execution`` overrides the session's backend for this one batch
         — how the dispatcher's circuit breaker degrades a failing
-        ``"turbo"`` session to ``"batched"``/``"fast"`` without
-        re-warming anything.  Every registered backend is bit-exact and
-        the modeled cost is plan-determined, so the session's frozen
-        cost template stays valid under the override.
+        ``"turbo"`` session to ``"fast"`` without re-warming anything.
+        Every registered backend is bit-exact and the modeled cost is
+        plan-determined, so the session's frozen cost template stays
+        valid under the override.
         """
         if len(requests) == 0:
             raise CompileError("run_batch needs at least one request")
@@ -296,9 +291,6 @@ class Session:
         per_request_outputs: list[dict[str, np.ndarray]] = [
             {} for _ in range(bsz)
         ]
-        # only materialized for backends without a cost template
-        per_request_reports: list[list[CostReport]] = [[] for _ in range(bsz)]
-        stage_names: list[str] = []
         for seg in self.compiled.segments:
             name = seg.lowered.input_name
             xs = []
@@ -316,20 +308,12 @@ class Session:
             )
             out_name = seg.lowered.output_name
             spec_shape = graph.tensors[out_name].spec.shape
-            if self._report is None:
-                stage_names.extend(sp.name for sp in seg.plan.stages)
             for i, res in enumerate(results):
                 per_request_outputs[i][out_name] = res.output.reshape(
                     spec_shape
                 )
-                if self._report is None:
-                    per_request_reports[i].extend(
-                        r.report for r in res.stage_runs
-                    )
         latency_s = time.perf_counter() - t0
-        return self._assemble(
-            per_request_outputs, per_request_reports, stage_names, latency_s
-        )
+        return self._assemble(per_request_outputs, latency_s)
 
     # ------------------------------------------------------------------ #
     # result assembly
@@ -353,22 +337,12 @@ class Session:
         Used by the dispatcher's ``workers="process"`` mode: child
         processes return raw output tensors (small IPC payload) and the
         parent attaches the session's cost template — valid because the
-        modeled cost is plan-determined, not data-determined.  Requires a
-        template-carrying backend (``"batched"``/``"turbo"``).
+        modeled cost is plan-determined, not data-determined.
         """
-        if self._report is None:
-            raise ServingError(
-                f"execution backend {self.execution!r} carries no cost "
-                "template; package_results needs a template backend such "
-                "as 'batched' or 'turbo'"
-            )
         self._check_structure()
-        return self._assemble(list(outputs_list), None, None, latency_s)
+        return self._assemble(list(outputs_list), latency_s)
 
-    def _assemble(
-        self, per_request_outputs, per_request_reports, stage_names,
-        latency_s,
-    ) -> list[RequestResult]:
+    def _assemble(self, per_request_outputs, latency_s) -> list[RequestResult]:
         graph = self.compiled.graph
         bsz = len(per_request_outputs)
         terminal = (
@@ -386,13 +360,6 @@ class Session:
             )
         served = []
         for i, outputs in enumerate(per_request_outputs):
-            if self._report is not None:
-                report, stage_reports = self._report, self._stage_reports
-            else:
-                report = CostReport.combine(
-                    per_request_reports[i], names=stage_names
-                )
-                stage_reports = report.stages
             served.append(
                 RequestResult(
                     output=outputs[terminal],
@@ -402,8 +369,8 @@ class Session:
                         batch_index=i,
                         queue_depth=bsz,
                         latency_s=latency_s,
-                        report=report,
-                        stage_reports=stage_reports,
+                        report=self._report,
+                        stage_reports=self._stage_reports,
                     ),
                 )
             )

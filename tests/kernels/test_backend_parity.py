@@ -205,8 +205,10 @@ class TestBackendRegistry:
         assert "fast" in execution_backends()
 
     def test_unknown_backend_lists_available(self):
-        with pytest.raises(KernelError, match="simulate"):
-            get_execution_backend("warp-drive")
+        # the retired "batched" name must not resolve either
+        for name in ("warp-drive", "batched"):
+            with pytest.raises(KernelError, match="simulate"):
+                get_execution_backend(name)
 
     def test_unknown_backend_at_run(self):
         kern = FullyConnectedKernel(1, 4, 4)

@@ -197,9 +197,9 @@ class TestRepairMetrics:
 
     def test_degrade_restore_pairing(self):
         m = repair_metrics((
-            change("degrade", 1.0, "tenant 'a' degraded turbo -> batched"),
+            change("degrade", 1.0, "tenant 'a' degraded turbo -> fast"),
             change("restore", 3.0, "tenant 'a' restored to turbo"),
-            change("degrade", 10.0, "tenant 'b' degraded turbo -> batched"),
+            change("degrade", 10.0, "tenant 'b' degraded turbo -> fast"),
             change("restore", 14.0, "tenant 'b' restored to turbo"),
         ))
         assert m.failures == 2

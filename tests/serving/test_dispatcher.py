@@ -22,7 +22,7 @@ import repro
 from repro.compiler import PlanCache
 from repro.errors import AdmissionError, ServingError
 from repro.graph.models import build_classifier_graph, build_network_graph
-from repro.serving import Dispatcher
+from repro.serving import Dispatcher, FleetConfig
 
 
 def random_int8(rng, shape):
@@ -282,6 +282,21 @@ class TestProcessMode:
                 w[0, 0] = np.int8(~int(w[0, 0]) & 0x7F)
         # close() thaws: legal in-place mutation works again
         w[0, 0] = np.int8(~int(w[0, 0]) & 0x7F)
+
+    def test_pool_sized_from_clamped_workers(self, compiled_cls):
+        # the fork pool follows the same clamp as the thread shards:
+        # asking for more workers than max_workers forks only max_workers
+        rng = np.random.default_rng(41)
+        xs = [random_int8(rng, input_shape(compiled_cls)) for _ in range(4)]
+        cfg = FleetConfig(min_workers=1, max_workers=2, max_batch=2)
+        with Dispatcher(
+            compiled_cls, workers=8, worker_mode="process", config=cfg
+        ) as d:
+            assert d.workers == 2
+            assert d._pool._processes == 2
+            results = d.run_many(xs, timeout=120.0)
+        for x, res in zip(xs, results):
+            assert_bit_exact(compiled_cls, x, res)
 
     def test_finalizer_releases_fork_registry(self, compiled_cls):
         import gc

@@ -4,7 +4,7 @@ The contract under test: fault decisions are *pure hash draws* over
 ``(seed, site, key)`` — the same plan poisons the same keys in every
 thread, process and re-run — and with no plan the whole subsystem is a
 no-op.  The wiring tests prove each named injection point actually
-fires from its real call site (``Session.run_batch``, the batched and
+fires from its real call site (``Session.run_batch``, the fast and
 turbo backends), not just from the injector in isolation.
 """
 
@@ -251,7 +251,7 @@ class TestWiring:
     @pytest.mark.parametrize(
         "execution,site",
         [
-            ("batched", "backend.batched"),
+            ("fast", "backend.fast"),
             ("turbo", "backend.turbo"),
             ("turbo", "backend.turbo.gemm"),
         ],
@@ -266,7 +266,7 @@ class TestWiring:
 
     def test_backend_site_does_not_cross_backends(self, compiled_cls):
         x = random_int8(np.random.default_rng(2), input_shape(compiled_cls))
-        session = Session(compiled_cls, execution="batched")
+        session = Session(compiled_cls, execution="fast")
         with scope(FaultInjector(error_plan("backend.turbo.gemm"))):
             out = session.run_batch([x])[0].output
         np.testing.assert_array_equal(

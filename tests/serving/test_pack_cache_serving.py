@@ -19,8 +19,7 @@ import pytest
 
 import repro
 from repro.graph.models import build_classifier_graph
-from repro.kernels.base import _PACK_CACHE, cached_pack
-from repro.kernels.batched import pack_i32
+from repro.kernels.base import _PACK_CACHE, cached_pack, pack_i32
 from repro.quant import quantize_multiplier
 from repro.runtime.pipeline import Pipeline, PointwiseStage
 

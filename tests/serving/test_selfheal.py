@@ -192,9 +192,7 @@ class TestReconfigPreservesState:
             breaker_threshold=2, breaker_cooldown_s=60.0,
             retry_budget_ratio=0.0, retry_budget_burst=2,
         )
-        with Dispatcher(
-            compiled_cls, workers=2, execution="turbo", config=cfg
-        ) as d:
+        with Dispatcher(compiled_cls, workers=2, config=cfg) as d:
             d.run_many(make_inputs(compiled_cls, 8, seed=13), timeout=60.0)
 
             # warm state a storm would have built up: a learned EWMA,

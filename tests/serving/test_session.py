@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.errors import CompileError, KernelError, ShapeError
 from repro.graph.models import build_classifier_graph
-from repro.kernels import execution_backends, get_execution_backend
+from repro.kernels import get_execution_backend
 from repro.quant import quantize_multiplier
 from repro.runtime.pipeline import (
     BottleneckStage,
@@ -121,25 +121,63 @@ class TestPipelineRunBatchParity:
                 res, pipe.run(x, plan=plan, execution="fast")
             )
 
-    def test_single_run_via_batched_backend(self):
-        rng = np.random.default_rng(5)
-        pipe = make_pipeline(rng, 6, 4, 8, 1, True)
-        plan = pipe.plan()
-        x = random_int8(rng, (6, 6, 4))
-        assert_request_matches_fast(
-            pipe.run(x, plan=plan, execution="batched"),
-            pipe.run(x, plan=plan, execution="fast"),
-        )
-
     def test_nonbatched_backend_falls_back_per_request(self):
         rng = np.random.default_rng(6)
         pipe = make_pipeline(rng, 5, 4, 4, 1, False)
         plan = pipe.plan()
         xs = [random_int8(rng, (5, 5, 4)) for _ in range(3)]
-        for x, res in zip(xs, pipe.run_batch(xs, plan=plan, execution="fast")):
+        served = pipe.run_batch(xs, plan=plan, execution="simulate")
+        for x, res in zip(xs, served):
             assert_request_matches_fast(
                 res, pipe.run(x, plan=plan, execution="fast")
             )
+
+    def test_fast_batch_runs_each_helper_once_per_stage(self, monkeypatch):
+        # one stacked pass: a batch of B costs one numeric-helper call
+        # per stage (each seeing all B requests), never one per request
+        rng = np.random.default_rng(9)
+        pipe = Pipeline(8, 8)
+        pipe.add(
+            BottleneckStage(
+                name="b0", c_mid=16, c_out=8, kernel=3,
+                w_expand=random_int8(rng, (8, 16)),
+                w_dw=random_int8(rng, (3, 3, 16)),
+                w_project=random_int8(rng, (16, 8)),
+                mults=(MULT, MULT, MULT),
+            )
+        )
+        pipe.add(
+            PointwiseStage(
+                name="pw", weights=random_int8(rng, (8, 8)), mult=MULT
+            )
+        )
+        pipe.add(GlobalAvgPoolStage(name="gap", mult=MULT))
+        pipe.add(
+            DenseStage(name="head", weights=random_int8(rng, (8, 4)), mult=MULT)
+        )
+        plan = pipe.plan()
+        bsz = 5
+        xs = [random_int8(rng, (8, 8, 8)) for _ in range(bsz)]
+        pipe.run_batch(xs, plan=plan, execution="fast")  # warm the template
+
+        fast = get_execution_backend("fast")
+        seen: dict[str, list[int]] = {}
+        for name in (
+            "_pointwise_batch", "_bottleneck_batch", "_avgpool_batch",
+            "_dense_batch",
+        ):
+            def counted(kern, xb, *args, _name=name, _fn=getattr(fast, name)):
+                seen.setdefault(_name, []).append(xb.shape[0])
+                return _fn(kern, xb, *args)
+
+            monkeypatch.setattr(fast, name, counted)
+        pipe.run_batch(xs, plan=plan, execution="fast")
+        assert seen == {
+            "_bottleneck_batch": [bsz],
+            "_pointwise_batch": [bsz],
+            "_avgpool_batch": [bsz],
+            "_dense_batch": [bsz],
+        }
 
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(7)
@@ -165,10 +203,6 @@ class TestSession:
     @pytest.fixture(scope="class")
     def session(self, compiled):
         return compiled.serve()
-
-    def test_backend_registered(self):
-        assert "batched" in execution_backends()
-        assert get_execution_backend("batched").name == "batched"
 
     @given(batch=st.integers(1, 6), seed=st.integers(0, 2**31))
     @settings(max_examples=8, deadline=None)
